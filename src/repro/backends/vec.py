@@ -17,8 +17,9 @@ exactly.
 
 Per-PE memory is one row of a dense ``(n_pes, bytes_per_pe)`` uint8
 matrix — the symmetric-address property (paper Figure 2) holds by
-construction, and a batched stage touches all rows in one fancy-indexed
-gather/scatter.  Raw ``put``/``get``/``amo`` outside schedules run
+construction, and a batched stage touches all rows in one
+gather/scatter (a column slice of the matrix when the stage's buffer
+address is the same on every PE).  Raw ``put``/``get``/``amo`` outside schedules run
 per-call against the same closed-form cost model, so mixed programs
 (schedule collectives + hand-rolled rings + AMO counters) stay
 supported.
